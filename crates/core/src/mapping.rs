@@ -62,7 +62,7 @@ impl Placement {
     pub fn active_at(&self, t: u64) -> u32 {
         self.segments
             .iter()
-            .filter(|s| s.start <= t && t < s.start + s.tasks * self.task_len)
+            .filter(|s| s.start <= t && t < s.start.saturating_add(s.tasks.saturating_mul(self.task_len)))
             .count() as u32
     }
 }
@@ -84,9 +84,10 @@ impl Placement {
 pub fn map_continuous(jobs: &[MapJob], capacity: u32) -> Result<Vec<Placement>, CoreError> {
     validate(jobs, capacity)?;
     let order = pack_order(jobs);
-    let mut occupation = vec![0u64; capacity as usize];
+    let mut queues = Queues::default();
+    queues.reset(capacity as usize);
     let mut placements = empty_placements(jobs);
-    pack_suffix(jobs, &order, 0, &mut occupation, &mut placements);
+    pack_suffix(jobs, &order, 0, &mut queues, &mut placements);
     check_mapping_contract(jobs, &placements, capacity);
     Ok(placements)
 }
@@ -120,22 +121,26 @@ fn empty_placements(jobs: &[MapJob]) -> Vec<Placement> {
         .collect()
 }
 
-/// Packs `order[from..]` onto the queues, given the occupation the prefix
+/// Packs `order[from..]` onto the queues, given the occupations the prefix
 /// `order[..from]` left behind. Packing one position at a time makes this
 /// the shared tail of both the full and the incremental mapping: identical
 /// inputs produce identical placements, bit for bit.
 ///
-/// Least-occupied-queue selection (lax packing and overflow spill) is
-/// evaluated in closed form by [`water_fill`] — O(C · log(t·R)) per job
-/// instead of O(C) per *task*, with placements identical to the
-/// one-task-at-a-time scan.
+/// Neither packing rule scans the fleet. A strict job walks the
+/// [`Queues`] min-tree straight to each queue still below its target, in
+/// queue order — O(segments · log C) — and least-occupied-queue selection
+/// (lax packing and overflow spill) is evaluated in closed form by
+/// [`Queues::water_fill`] over the `min(t, C)` lowest queues, with
+/// placements identical to Algorithm 4's one-task-at-a-time scan.
 fn pack_suffix(
     jobs: &[MapJob],
     order: &[usize],
     from: usize,
-    occupation: &mut [u64],
+    queues: &mut Queues,
     placements: &mut [Placement],
 ) {
+    // Restoring the prefix's occupations is not packing work.
+    queues.work = 0;
     for &i in &order[from..] {
         let job = jobs[i];
         // Reset in place: the slot may hold a recycled placement from the
@@ -149,32 +154,30 @@ fn pack_suffix(
             // Leftover packing: least-occupied-queue filling — work-
             // conserving, and strictly behind every strict reservation
             // already placed (the pack order puts every strict job first).
-            water_fill(occupation, job.task_len, job.tasks, p);
+            queues.water_fill(job.task_len, job.tasks, p);
             continue;
         }
+        let (l, target) = (job.task_len, job.target);
         let mut remaining = job.tasks;
-        let mut k = 0usize;
-        // Dividends are at most `target + R − 1`.
-        let div = Recip::new(job.task_len, job.target.saturating_add(job.task_len));
-        while remaining > 0 && k < occupation.len() {
-            let o = occupation[k];
-            if o < job.target {
+        if remaining > 0 {
+            // Dividends are `target − o − 1 < target`.
+            let div = Recip::new(l, target);
+            queues.scan_below(target, &mut |k, o| {
                 // Tasks that can still *start* before the target on this
-                // queue: ceil((target − o) / task_len).
-                let fit = div.div(job.target - o + (job.task_len - 1)).min(remaining);
-                if fit > 0 {
-                    p.segments.push(Segment { container: k as u32, start: o, tasks: fit });
-                    occupation[k] = o + fit * job.task_len;
-                    p.completion = p.completion.max(occupation[k]);
-                    remaining -= fit;
-                }
-            }
-            k += 1;
+                // queue: ceil((target − o) / task_len), in a form that
+                // cannot overflow.
+                let fit = (div.div(target - o - 1) + 1).min(remaining);
+                p.segments.push(Segment { container: k as u32, start: o, tasks: fit });
+                let end = o.saturating_add(fit.saturating_mul(l));
+                p.completion = p.completion.max(end);
+                remaining -= fit;
+                (end, remaining == 0)
+            });
         }
         // Overflow (targets violated capacity): spill onto the
         // least-occupied queues, same selection rule as lax packing.
         if remaining > 0 {
-            water_fill(occupation, job.task_len, remaining, p);
+            queues.water_fill(job.task_len, remaining, p);
         }
     }
 }
@@ -212,9 +215,255 @@ impl Recip {
     }
 }
 
-/// Places `tasks` tasks of length `task_len` by least-occupied-queue
-/// selection — the queue with the smallest `(occupation, index)` key takes
-/// the next task — evaluated in closed form.
+/// The queue occupations of one packing pass, held as the leaves of a
+/// min-tree over `(occupation, queue)` keys, so that both packing rules
+/// reach their queues without scanning the fleet.
+///
+/// The tree is implicit: with `P` the queue count rounded up to a power of
+/// two, node `n` has children `2n` and `2n + 1`, queue `k`'s occupation is
+/// leaf `P + k`, and padding leaves hold `u64::MAX`. Descents prefer the
+/// left child on equal values, which breaks ties by queue index — the
+/// `(occupation, queue)` key order.
+///
+/// Occupations only grow within a pass, so inner nodes are kept as *lower
+/// bounds* of their subtree minima rather than exactly: a fill writes only
+/// the leaves it raises (recording them as dirty), and
+/// [`Queues::scan_below`] refreshes the nodes it walks through. Only the
+/// least-key selection in [`Queues::select_lowest`] needs exact minima,
+/// and it restores them in one batch first: by walking the dirty paths, or
+/// by one bottom-up rebuild once dirty leaves × depth reaches the leaf
+/// count. Every node is at most its children throughout. The tree outlives
+/// a pass: the next incremental pass lowers only the leaves its repacked
+/// positions had raised ([`Queues::lower`]).
+#[derive(Default, Debug, Clone)]
+struct Queues {
+    /// Number of queues `C`.
+    len: usize,
+    /// The `2P` tree nodes; index 0 is unused.
+    tree: Vec<u64>,
+    /// Leaves raised since the last sync whose ancestors may lag low.
+    dirty: Vec<u32>,
+    /// Too many dirty leaves to walk their paths: the next sync rebuilds.
+    stale: bool,
+    /// Scratch for one fill: the selected queues, ascending.
+    sel: Vec<u32>,
+    /// Scratch for one fill: the selected queues' occupations, in `sel`
+    /// order.
+    occ: Vec<u64>,
+    /// Scratch for one fill: the progression keys inside the level window.
+    keys: Vec<u64>,
+    /// Tree nodes plus queues visited since packing started
+    /// ([`MapStats::work`]).
+    work: u64,
+}
+
+impl Queues {
+    /// Starts over with `queues` empty queues and an exact tree.
+    fn reset(&mut self, queues: usize) {
+        let p = queues.next_power_of_two();
+        self.len = queues;
+        self.tree.resize(2 * p, 0);
+        self.tree[p..p + queues].fill(0);
+        self.tree[p + queues..].fill(u64::MAX);
+        self.rebuild();
+        self.dirty.clear();
+        self.stale = false;
+    }
+
+    /// Recomputes every inner node from its children, bottom-up.
+    fn rebuild(&mut self) {
+        let p = self.tree.len() / 2;
+        for n in (1..p).rev() {
+            self.tree[n] = self.tree[2 * n].min(self.tree[2 * n + 1]);
+        }
+        self.work += p as u64;
+    }
+
+    /// Recomputes the inner nodes above queue `k`'s leaf from their
+    /// children, bottom-up.
+    fn fix_path(&mut self, k: usize) {
+        let mut n = (self.tree.len() / 2 + k) / 2;
+        while n > 0 {
+            self.tree[n] = self.tree[2 * n].min(self.tree[2 * n + 1]);
+            self.work += 1;
+            n /= 2;
+        }
+    }
+
+    /// Lowers queue `k`'s occupation to `o`, pulling down the ancestors
+    /// above `o`. Every node stays at most its children, so the walk stops
+    /// at the first ancestor already at or below `o`; an exact node stays
+    /// exact and a lower bound stays one.
+    fn lower(&mut self, k: usize, o: u64) {
+        let mut n = self.tree.len() / 2 + k;
+        self.tree[n] = o;
+        while n > 1 {
+            n /= 2;
+            self.work += 1;
+            if self.tree[n] <= o {
+                break;
+            }
+            self.tree[n] = o;
+        }
+    }
+
+    /// Raises queue `k`'s occupation to `o`, leaving its ancestors as
+    /// lower bounds, and records the leaf for the next sync.
+    fn raise(&mut self, k: usize, o: u64) {
+        let p = self.tree.len() / 2;
+        self.tree[p + k] = o;
+        if self.stale {
+            return;
+        }
+        // Once dirty leaves × depth reaches the leaf count, one rebuild
+        // costs no more than walking every dirty path.
+        if (self.dirty.len() + 1) * (p.trailing_zeros() as usize).max(1) >= p {
+            self.stale = true;
+            self.dirty.clear();
+        } else {
+            self.dirty.push(k as u32);
+        }
+    }
+
+    /// Makes every inner node exact again.
+    fn sync(&mut self) {
+        if self.stale {
+            self.rebuild();
+        } else {
+            let dirty = std::mem::take(&mut self.dirty);
+            for &k in &dirty {
+                self.fix_path(k as usize);
+            }
+            self.dirty = dirty;
+        }
+        self.dirty.clear();
+        self.stale = false;
+    }
+
+    /// Hands every queue whose occupation is below `target` to `place`, in
+    /// ascending queue order, and stores the occupation it returns, until
+    /// `place` reports the job fully placed. A subtree whose (lower-bound)
+    /// minimum is at or above `target` is skipped unvisited; every node
+    /// walked is refreshed from its children on the way back up, so the
+    /// placements made here leave their paths exact.
+    fn scan_below(&mut self, target: u64, place: &mut impl FnMut(usize, u64) -> (u64, bool)) {
+        let p = self.tree.len() / 2;
+        // Iterative in-order walk: descend left into every node below the
+        // target; after a leaf or a skipped subtree, climb out of finished
+        // right children (refreshing each parent) and step to the sibling.
+        let mut n = 1;
+        loop {
+            self.work += 1;
+            let o = self.tree[n];
+            if o < target {
+                if n < p {
+                    n *= 2;
+                    continue;
+                }
+                let (end, done) = place(n - p, o);
+                self.tree[n] = end;
+                if done {
+                    break;
+                }
+            }
+            while n & 1 == 1 && n > 1 {
+                n /= 2;
+                self.tree[n] = self.tree[2 * n].min(self.tree[2 * n + 1]);
+            }
+            if n == 1 {
+                return;
+            }
+            n += 1;
+        }
+        while n > 1 {
+            n /= 2;
+            self.tree[n] = self.tree[2 * n].min(self.tree[2 * n + 1]);
+        }
+    }
+
+    /// Fills `sel` (ascending) and `occ` with the queues holding the `t`
+    /// least `(occupation, queue)` keys and returns `true` — or returns
+    /// `false` when selecting is not cheaper than taking every queue
+    /// (`t · log₂P ≥ C`).
+    fn select_lowest(&mut self, t: u64) -> bool {
+        let p = self.tree.len() / 2;
+        let depth = u64::from(p.trailing_zeros()).max(1);
+        if t.saturating_mul(depth) >= self.len as u64 {
+            return false;
+        }
+        self.sync();
+        self.sel.clear();
+        self.occ.clear();
+        // Pop the least key `t` times: descend to the leftmost minimum,
+        // then mask its leaf. Masks propagate eagerly so the tree stays
+        // exact for the next descent.
+        // bound: the tree holds 2P ≥ 2 nodes, so the root exists.
+        while (self.sel.len() as u64) < t && self.tree[1] < u64::MAX {
+            let mut n = 1;
+            while n < p {
+                n = if self.tree[2 * n] <= self.tree[2 * n + 1] { 2 * n } else { 2 * n + 1 };
+            }
+            self.work += depth;
+            self.sel.push((n - p) as u32);
+            self.occ.push(self.tree[n]);
+            self.tree[n] = u64::MAX;
+            self.fix_path(n - p);
+        }
+        // Unmask: lowering a leaf back keeps the tree exact.
+        for i in 0..self.sel.len() {
+            self.lower(self.sel[i] as usize, self.occ[i]);
+        }
+        // Fewer than `t` pops means the keys ran into `u64::MAX`, where a
+        // masked leaf looks like a saturated queue: take every queue.
+        if (self.sel.len() as u64) < t {
+            return false;
+        }
+        self.sel.sort_unstable();
+        self.occ.clear();
+        self.occ.extend(self.sel.iter().map(|&k| self.tree[p + k as usize]));
+        true
+    }
+
+    /// Places `tasks` tasks of length `task_len` by least-occupied-queue
+    /// selection (see [`fill_level`]).
+    ///
+    /// Only the queues holding the `t` least *first* keys can take a task:
+    /// those are `t` keys no larger than the `t`-th of them, `(o₍t₎, k₍t₎)`,
+    /// so every other queue's first key already loses to the `t`-th pop —
+    /// ties at the water level included. [`Queues::select_lowest`] picks
+    /// that subset in O(t · log C) and the closed form runs over it alone;
+    /// when `t` is large the closed form runs over every leaf in place, and
+    /// the tree is left stale — that fill's O(C) cost pays for the rebuild.
+    fn water_fill(&mut self, task_len: u64, tasks: u64, placement: &mut Placement) {
+        if tasks == 0 {
+            return;
+        }
+        let p = self.tree.len() / 2;
+        if self.select_lowest(tasks) {
+            let passes = fill_level(&mut self.occ, |i| self.sel[i], &mut self.keys, task_len, tasks, placement);
+            self.work += passes * self.occ.len() as u64;
+            for i in 0..self.sel.len() {
+                let (k, o) = (self.sel[i] as usize, self.occ[i]);
+                if self.tree[p + k] != o {
+                    self.raise(k, o);
+                }
+            }
+        } else {
+            let leaves = &mut self.tree[p..p + self.len];
+            let passes = fill_level(leaves, |i| i as u32, &mut self.keys, task_len, tasks, placement);
+            self.work += passes * self.len as u64;
+            self.stale = true;
+            self.dirty.clear();
+        }
+    }
+}
+
+/// Places `tasks` tasks of length `task_len` onto the candidate queues
+/// whose occupations `occ` holds, in ascending queue order (`queue` maps a
+/// position to its queue index), by least-occupied-queue selection — the
+/// queue with the smallest `(occupation, queue)` key takes the next task —
+/// evaluated in closed form. Raises `occ` in place and returns the number
+/// of passes made over it.
 ///
 /// One-at-a-time selection pops keys in non-decreasing `(value, queue)`
 /// order from the per-queue arithmetic progressions
@@ -227,36 +476,32 @@ impl Recip {
 /// by a volume bound that pins it inside a window of width O(R) (bisection
 /// narrows the rare cases where the bound is loose), then *selected*
 /// outright as the matching order statistic of the ≤ 3 per-queue
-/// progression keys inside the window — O(C) total, independent of how
-/// many tasks each queue absorbs — and each queue's tasks land as one
+/// progression keys inside the window — O(|occ|) total, independent of
+/// how many tasks each queue absorbs — and each queue's tasks land as one
 /// contiguous segment, exactly where the scan would have stacked them.
-fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut Placement) {
-    if tasks == 0 {
-        return;
-    }
+///
+/// Occupations saturate at `u64::MAX`, where a queue's key stops growing:
+/// if the level reaches it, the lowest-indexed queue keeps the least key
+/// and takes every remaining task.
+fn fill_level(
+    occ: &mut [u64],
+    queue: impl Fn(usize) -> u32,
+    keys: &mut Vec<u64>,
+    task_len: u64,
+    tasks: u64,
+    placement: &mut Placement,
+) -> u64 {
     let l = task_len;
-    // Segments already in the placement (the strict prefix when this is an
-    // overflow spill) are container-ascending, and a strict segment on
-    // queue `k` ends exactly at the current `occupation[k]`. When the
-    // spill lands right behind one, extend it instead of emitting a second
-    // segment: the tasks run at the same rate (`task_len` is uniform per
-    // placement), so the merged segment covers the identical slot interval
-    // — occupancy replay (last write per queue) and `active_at` (interval
-    // union) are unchanged, keeping plans bit-identical while cutting the
-    // emitted segment count.
-    let prior = placement.segments.len();
-    let mut adj = 0usize;
-    let (min_o, sum_o) = occupation
-        .iter()
-        .fold((u64::MAX, 0u128), |(m, s), &o| (m.min(o), s + o as u128));
-    debug_assert_ne!(min_o, u64::MAX, "capacity > 0");
+    let (min_o, sum_o) = occ.iter().fold((u64::MAX, 0u128), |(m, s), &o| (m.min(o), s + o as u128));
+    // The min+sum fold, the placement loop, then one per probe below.
+    let mut passes = 2u64;
     // Every dividend below is `w − o ≤ tasks·R` (the bisection never
     // probes past `min_o + tasks·R`, and `o ≥ min_o` whenever it is
     // divided), so one reciprocal covers the whole call.
     let div = Recip::new(l, tasks.saturating_mul(l));
-    // Keys with value ≤ w across all queue progressions.
+    // Keys with value ≤ w across the candidate queues' progressions.
     let count = |occ: &[u64], w: u64| -> u64 {
-        occ.iter().map(|&o| if o > w { 0 } else { div.div(w - o) + 1 }).sum()
+        occ.iter().map(|&o| if o > w { 0 } else { div.div(w - o) + 1 }).fold(0, u64::saturating_add)
     };
     // The least-occupied queue alone exposes `tasks + 1` keys by
     // `min_o + tasks·R`, so the t-th smallest key is at most that. The
@@ -265,43 +510,60 @@ fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut
     // `w` with `C·w ≥ t·R + Σo` is a valid upper end; and each of the
     // `A ≤ C` active queues overshoots the real quotient by less than 1,
     // so `count(w) < (C·w − Σo)/R + C` *when every queue is active* —
-    // making the symmetric lower end a guess that one probe verifies.
-    let c = occupation.len() as u128;
-    let hi_bound = ((tasks as u128 * l as u128 + sum_o) / c + 1) as u64;
-    let lo_guess = ((tasks.saturating_sub(c as u64) as u128 * l as u128 + sum_o) / c) as u64;
-    let mut hi = (min_o + tasks * l).min(hi_bound.max(min_o));
-    let mut lo = min_o.max(lo_guess.min(hi));
-    if lo > min_o && count(occupation, lo) >= tasks {
-        // Some queue sat above the water level: the all-active bound did
-        // not apply. Fall back to the safe lower end.
-        hi = lo;
-        lo = min_o;
-    }
-    // Invariants: `count(hi) ≥ tasks` and `count(lo − 1) < tasks`, so the
-    // t-th smallest key value lies in `[lo, hi]`. Bisection narrows the
-    // window to width ≤ 2R (the volume guess usually lands there outright);
-    // within such a window each queue's progression holds at most three
-    // keys, so the t-th smallest is *selected* from the enumerated step
-    // points rather than probed for — and the same enumeration yields the
-    // strictly-below-`w` count the tie split needs, probe-free.
-    const STACK_KEYS: usize = 256;
-    let window = l.saturating_mul(2);
-    while hi - lo > window {
-        let mid = lo + (hi - lo) / 2;
-        if count(occupation, mid) >= tasks {
-            hi = mid;
+    // making the symmetric lower end a guess, which the window
+    // enumeration below verifies at no extra cost.
+    let c = occ.len() as u128;
+    let hi_bound = (tasks as u128 * l as u128 + sum_o) / c + 1;
+    let lo_guess = (tasks.saturating_sub(c as u64) as u128 * l as u128 + sum_o) / c;
+    let hi_bound = hi_bound.min(u128::from(u64::MAX)) as u64;
+    let mut hi = min_o.saturating_add(tasks.saturating_mul(l)).min(hi_bound.max(min_o));
+    let mut lo = min_o.max(lo_guess.min(u128::from(hi)) as u64);
+    if hi == u64::MAX {
+        // The upper end saturated: the level is `u64::MAX` itself unless
+        // enough keys lie below it.
+        passes += 1;
+        if count(occ, u64::MAX - 1) >= tasks {
+            hi = u64::MAX - 1;
         } else {
-            lo = mid + 1;
+            lo = u64::MAX;
         }
     }
-    let (w, below_w) = if lo < hi && 3 * occupation.len() <= STACK_KEYS {
-        // `base` (keys strictly below the window) falls out of the same
-        // divisions that locate each queue's first in-window key — no
-        // separate counting probe.
+    // Invariant: `count(hi) ≥ tasks` (or `hi` is the saturation point), so
+    // the t-th smallest key value is at most `hi`; it is at least `lo`
+    // while `count(lo − 1) < tasks`, which holds for `lo = min_o` and is
+    // verified for the volume guess by the enumeration below. Bisection
+    // narrows the window to width ≤ 2R (the volume guess usually lands
+    // there outright); within such a window each queue's progression
+    // holds at most three keys, so the t-th smallest is *selected* from
+    // the enumerated step points rather than probed for — and the same
+    // enumeration yields the strictly-below-`w` count the tie split needs.
+    let window = l.saturating_mul(2);
+    let (w, below_w) = loop {
+        if lo == u64::MAX {
+            passes += 1;
+            break (lo, count(occ, lo - 1));
+        }
+        if hi - lo > window {
+            let mid = lo + (hi - lo) / 2;
+            passes += 1;
+            if count(occ, mid) >= tasks {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+            continue;
+        }
+        // Here `hi < u64::MAX`. `base` (keys strictly below the window)
+        // falls out of the same divisions that locate each queue's first
+        // in-window key — no separate counting probe.
+        passes += 1;
         let mut base = 0u64;
-        let mut keys = [0u64; STACK_KEYS];
+        // A window of width ≤ 2R holds at most three keys per queue.
+        if keys.len() < 3 * occ.len() {
+            keys.resize(3 * occ.len(), 0);
+        }
         let mut nk = 0usize;
-        for &o in occupation.iter() {
+        for &o in occ.iter() {
             // Smallest progression key ≥ lo, then every key up to hi.
             let mut key = if o >= lo {
                 o
@@ -309,41 +571,48 @@ fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut
                 let q = div.div(lo - o);
                 let f = o + q * l;
                 if f < lo {
-                    base += q + 1;
-                    f + l
+                    base = base.saturating_add(q + 1);
+                    f.saturating_add(l)
                 } else {
-                    base += q;
+                    base = base.saturating_add(q);
                     f
                 }
             };
             while key <= hi {
                 keys[nk] = key;
                 nk += 1;
-                key += l;
+                key = key.saturating_add(l);
             }
+        }
+        if base >= tasks {
+            // `count(lo − 1) ≥ tasks`: some queue sat above the water level,
+            // so the all-active volume guess overshot. Fall back to the
+            // safe lower end, below the guess.
+            hi = lo - 1;
+            lo = min_o;
+            continue;
         }
         // `nk = count(hi) − base ≥ tasks − base`, so the rank is in range.
         let k = (tasks - base) as usize;
         let (_, kth, _) = keys[..nk].select_nth_unstable(k - 1);
         let w = *kth;
-        (w, base + keys[..nk].iter().filter(|&&x| x < w).count() as u64)
-    } else {
-        // Degenerate window or very wide fleet: finish by bisection.
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-                if count(occupation, mid) >= tasks {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let w = lo;
-        (w, if w == 0 { 0 } else { count(occupation, w - 1) })
+        break (w, base + keys[..nk].iter().filter(|&&x| x < w).count() as u64);
     };
+    // Segments already in the placement (the strict prefix when this is an
+    // overflow spill) are container-ascending, and a strict segment on
+    // queue `k` ends exactly at queue `k`'s current occupation. When the
+    // spill lands right behind one, extend it instead of emitting a second
+    // segment: the tasks run at the same rate (`task_len` is uniform per
+    // placement), so the merged segment covers the identical slot interval
+    // — the occupancy rewind (earliest start per queue) and `active_at`
+    // (interval union) are unchanged, keeping plans bit-identical while
+    // cutting the emitted segment count.
+    let prior = placement.segments.len();
+    let mut adj = 0usize;
     // Keys strictly below `w` are all taken (count(w−1) < tasks by
     // minimality of `w`); ties at exactly `w` fill in queue order.
     let mut leftover = tasks - below_w;
-    for (k, o) in occupation.iter_mut().enumerate() {
+    for (i, o) in occ.iter_mut().enumerate() {
         let o0 = *o;
         let mut m = 0;
         let mut tie = false;
@@ -355,25 +624,33 @@ fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut
             m = if r != 0 { q + 1 } else { q };
             tie = r == 0;
         }
-        if leftover > 0 && tie {
-            m += 1;
-            leftover -= 1;
+        if leftover > 0 && (tie || w == u64::MAX) {
+            // At the saturation point the first queue keeps the least key.
+            let take = if w == u64::MAX { leftover } else { 1 };
+            m += take;
+            leftover -= take;
         }
         if m > 0 {
-            while adj < prior && placement.segments[adj].container < k as u32 {
+            let k = queue(i);
+            while adj < prior && placement.segments[adj].container < k {
                 adj += 1;
             }
             match placement.segments.get_mut(adj) {
-                Some(s) if adj < prior && s.container == k as u32 && s.start + s.tasks * l == o0 => {
+                Some(s)
+                    if adj < prior
+                        && s.container == k
+                        && s.start.saturating_add(s.tasks.saturating_mul(l)) == o0 =>
+                {
                     s.tasks += m;
                 }
-                _ => placement.segments.push(Segment { container: k as u32, start: o0, tasks: m }),
+                _ => placement.segments.push(Segment { container: k, start: o0, tasks: m }),
             }
-            *o = o0 + m * l;
+            *o = o0.saturating_add(m.saturating_mul(l));
             placement.completion = placement.completion.max(*o);
         }
     }
     debug_assert_eq!(leftover, 0, "water_fill under-placed");
+    passes
 }
 
 #[cfg_attr(not(feature = "strict-invariants"), allow(unused_variables))]
@@ -400,11 +677,11 @@ fn check_mapping_contract(jobs: &[MapJob], placements: &[Placement], capacity: u
                 if job.lax {
                     continue;
                 }
+                let bound = job.target.saturating_add(job.task_len);
                 debug_assert!(
-                    placements[i].completion <= job.target + job.task_len,
-                    "Theorem 3 contract: job {i} completion {} > T + R = {}",
+                    placements[i].completion <= bound,
+                    "Theorem 3 contract: job {i} completion {} > T + R = {bound}",
                     placements[i].completion,
-                    job.target + job.task_len
                 );
             }
         }
@@ -420,20 +697,26 @@ pub struct MapStats {
     pub reused_prefix: usize,
     /// Pack-order positions repacked from the divergence point on.
     pub repacked: usize,
+    /// Occupation-tree nodes plus queues visited while repacking: a
+    /// deterministic cost count for the pass. It leaves out restoring the
+    /// occupations the reused prefix leaves: rewinding the repacked
+    /// positions' previous segments, or an O(C) reset on the first pass and
+    /// after a capacity change.
+    pub work: u64,
 }
 
 /// Cross-pass state for [`map_continuous_incremental`]: the previous
 /// pass's inputs, pack order and placements (in input order). All
 /// buffers — placements, their segment vectors, the pack order and the
-/// occupation array — are recycled in place across passes, so a
-/// steady-state single-job delta allocates nothing.
+/// occupation tree with its scratch — are recycled in place across
+/// passes, so a steady-state single-job delta allocates nothing.
 #[derive(Default, Debug, Clone)]
 pub struct MapState {
     capacity: u32,
     jobs: Vec<MapJob>,
     order: Vec<usize>,
     placements: Vec<Placement>,
-    occupation: Vec<u64>,
+    queues: Queues,
     valid: bool,
     stats: MapStats,
 }
@@ -467,10 +750,12 @@ const MAX_SPLICED_CHANGES: usize = 16;
 /// placement depends only on the queue occupations left by the positions
 /// before it. So when the jobs at pack-order positions `0..p` are
 /// unchanged since the previous pass, their cached placements are reused
-/// verbatim: the occupation array they imply is replayed from their
-/// recorded segments (each segment's end *is* the queue's occupation at
-/// the moment it was placed), and only positions `p..` are repacked —
-/// in place, onto the recycled placement buffers. The cached pack order
+/// verbatim, and only positions `p..` are repacked — in place, onto the
+/// recycled placement buffers. The occupations the prefix leaves are
+/// recovered by rewinding the previous pass's final occupations past the
+/// repacked positions' previous segments (each segment's start *is* its
+/// queue's occupation at the moment it was placed): the cost of a pass is
+/// set by what it repacks, not by the prefix or the fleet size. The cached pack order
 /// is likewise repaired by splicing out the changed jobs and
 /// re-inserting them at their new key positions instead of re-sorting.
 /// The returned slice (borrowed from `state`, in input order) is
@@ -507,20 +792,33 @@ pub fn map_continuous_incremental<'a>(
             .placements
             .resize(n, Placement { task_len: 1, completion: 0, segments: Vec::new() });
     }
-    state.occupation.clear();
-    state.occupation.resize(capacity as usize, 0);
-    for &i in &state.order[..from] {
-        // Replay occupancy: segments are recorded in placement order, so
-        // the last write to a queue leaves its true occupation.
-        let p = &state.placements[i];
-        for s in &p.segments {
-            state.occupation[s.container as usize] = s.start + s.tasks * p.task_len;
+    if eligible {
+        // Rewind the occupations the previous pass ended with to those the
+        // reused prefix leaves. Only the repacked positions' previous
+        // segments moved them, and a segment starts at its queue's
+        // occupation when placed, so the earliest start among those
+        // segments on a queue is the prefix's occupation there.
+        let p = state.queues.tree.len() / 2;
+        for &i in &state.order[from..] {
+            for s in &state.placements[i].segments {
+                let k = s.container as usize;
+                if s.start < state.queues.tree[p + k] {
+                    state.queues.lower(k, s.start);
+                }
+            }
         }
+    } else {
+        state.queues.reset(capacity as usize);
     }
-    pack_suffix(jobs, &state.order, from, &mut state.occupation, &mut state.placements);
+    pack_suffix(jobs, &state.order, from, &mut state.queues, &mut state.placements);
     check_mapping_contract(jobs, &state.placements, capacity);
     state.capacity = capacity;
-    state.stats = MapStats { delta: eligible, reused_prefix: from, repacked: n - from };
+    state.stats = MapStats {
+        delta: eligible,
+        reused_prefix: from,
+        repacked: n - from,
+        work: state.queues.work,
+    };
     state.valid = true;
     Ok(&state.placements)
 }
@@ -593,7 +891,7 @@ pub fn capacity_condition_holds(jobs: &[MapJob], capacity: u32) -> bool {
     order.sort_by_key(|&i| jobs[i].target);
     let mut cum = 0u128;
     for &i in &order {
-        cum += (jobs[i].tasks * jobs[i].task_len) as u128;
+        cum = cum.saturating_add(jobs[i].tasks as u128 * jobs[i].task_len as u128);
         if cum > capacity as u128 * jobs[i].target as u128 {
             return false;
         }
@@ -863,6 +1161,78 @@ mod tests {
         assert_eq!(full, again);
         assert_eq!(state.last_stats().reused_prefix, jobs.len());
         assert_eq!(state.last_stats().repacked, 0);
+    }
+
+    #[test]
+    fn huge_inputs_saturate_instead_of_overflowing() {
+        // Strict fit and occupation: three tasks of 2^63 − 1 slots on one
+        // queue run past u64::MAX, so the completion saturates.
+        let l = u64::MAX / 2;
+        let jobs = [MapJob { tasks: 3, task_len: l, target: u64::MAX - 5, lax: false }];
+        let p = map_continuous(&jobs, 1).unwrap();
+        assert_eq!(p[0].segments, vec![Segment { container: 0, start: 0, tasks: 3 }]);
+        assert_eq!(p[0].completion, u64::MAX);
+        assert_eq!(p[0].active_at(u64::MAX - 1), 1);
+        // Lax volume: 2^33 tasks × 2^32 slots on 4 queues is 2^63 per
+        // queue, which fits — only the intermediate `tasks · R` does not.
+        let jobs = [MapJob { tasks: 1 << 33, task_len: 1 << 32, target: 0, lax: true }];
+        let p = map_continuous(&jobs, 4).unwrap();
+        assert_eq!(p[0].completion, 1 << 63);
+        assert!(p[0].segments.iter().all(|s| s.start == 0 && s.tasks == 1 << 31));
+        // A spill whose water level reaches the saturation point: each
+        // queue holds three keys below u64::MAX, and the seventh task goes
+        // to the lowest-indexed queue, whose key stays least.
+        let jobs = [MapJob { tasks: 7, task_len: l, target: 0, lax: false }];
+        let p = map_continuous(&jobs, 2).unwrap();
+        assert_eq!(
+            p[0].segments,
+            vec![Segment { container: 0, start: 0, tasks: 4 }, Segment { container: 1, start: 0, tasks: 3 }]
+        );
+        assert_eq!(p[0].completion, u64::MAX);
+        // Strict fits next to the saturation point: the first job leaves
+        // queue 0 at u64::MAX − 1 and queue 1 at R; the second starts one
+        // task on each, and the one on queue 0 saturates.
+        let jobs = [
+            MapJob { tasks: 3, task_len: l, target: u64::MAX - 5, lax: false },
+            MapJob { tasks: 2, task_len: 4, target: u64::MAX, lax: false },
+        ];
+        let p = map_continuous(&jobs, 2).unwrap();
+        assert_eq!(
+            p[1].segments,
+            vec![Segment { container: 0, start: u64::MAX - 1, tasks: 1 }, Segment { container: 1, start: l, tasks: 1 }]
+        );
+        assert_eq!(p[1].completion, u64::MAX);
+        let mut state = MapState::new();
+        assert_eq!(map_continuous_incremental(&jobs, 2, &mut state).unwrap(), &p[..]);
+    }
+
+    /// The work counter pins the mapping's cost to what it places: on a
+    /// 4096-queue cluster, repacking one small strict job and one small
+    /// lax job touches O(log C) tree nodes and queues, not the fleet.
+    #[test]
+    fn small_repack_on_a_wide_fleet_visits_o_log_c_entries() {
+        const C: u32 = 4096;
+        let mut jobs = vec![
+            // One task on every queue (occupation 10), then one more on
+            // the lower half (occupation 17).
+            MapJob { tasks: C as u64, task_len: 10, target: 10, lax: false },
+            MapJob { tasks: C as u64 / 2, task_len: 7, target: 12, lax: false },
+            MapJob { tasks: 3, task_len: 10, target: 25, lax: false },
+            MapJob { tasks: 3, task_len: 5, target: 0, lax: true },
+        ];
+        let mut state = MapState::new();
+        map_continuous_incremental(&jobs, C, &mut state).unwrap();
+        let full_work = state.last_stats().work;
+        jobs[2].tasks = 2;
+        let p = map_continuous_incremental(&jobs, C, &mut state).unwrap().to_vec();
+        let stats = state.last_stats();
+        assert_eq!((stats.reused_prefix, stats.repacked), (2, 2));
+        assert!(stats.work <= 256, "repack visited {} entries (first pass {full_work})", stats.work);
+        assert!(full_work > C as u64, "the first pass places on every queue");
+        assert_eq!(p, map_continuous(&jobs, C).unwrap());
+        assert_eq!(p[2].segments, vec![Segment { container: 0, start: 17, tasks: 1 }, Segment { container: 1, start: 17, tasks: 1 }]);
+        // The lax job lands on the least-occupied queues: the upper half.
+        assert_eq!(p[3].segments.iter().map(|s| s.container).collect::<Vec<_>>(), vec![2048, 2049, 2050]);
     }
 
     #[test]
